@@ -23,6 +23,7 @@
 #include "core/swarm_update.h"
 #include "rng/philox.h"
 #include "rng/xoshiro.h"
+#include "vgpu/parallel.h"
 #include "vgpu/perf_model.h"
 #include "vgpu/prof/prof.h"
 
@@ -32,11 +33,6 @@ namespace {
 /// Modeled FLOP cost of one host RNG draw (xoshiro/Philox, amortized,
 /// partially vectorized by the compiler).
 constexpr double kCpuRngFlopsPerValue = 2.0;
-/// Below this many elements the OpenMP fork/join costs more than the loop;
-/// every parallel region here is element-independent (counter-based Philox,
-/// fixed static partition), so running it on one thread produces bit-
-/// identical results — only wall time changes.
-constexpr std::size_t kOmpMinElements = std::size_t{1} << 15;
 /// FLOPs of one element-wise velocity+position update.
 constexpr double kUpdateFlopsPerElement = 10.0;
 
@@ -58,6 +54,12 @@ core::Result run_fastpso_cpu(const core::Objective& objective,
   const int n = params.particles;
   const int d = params.dim;
   const std::size_t elements = static_cast<std::size_t>(n) * d;
+  // Below vgpu's fan-out gate the OpenMP fork/join costs more than the
+  // loop; every parallel region here is element-independent (counter-based
+  // Philox, fixed static partition), so running it on one thread produces
+  // bit-identical results — only wall time changes.
+  const bool fan_out =
+      static_cast<std::int64_t>(elements) >= vgpu::kParallelMinElements;
 
   const core::UpdateCoefficients coeff =
       core::make_coefficients(params, objective.lower, objective.upper);
@@ -103,7 +105,7 @@ core::Result run_fastpso_cpu(const core::Objective& objective,
     ScopedTimer timer(wall, "init");
     if (use_omp) {
       const std::size_t blocks = (elements + 3) / 4;
-#pragma omp parallel for schedule(static) if (elements >= kOmpMinElements)
+#pragma omp parallel for schedule(static) if (fan_out)
       for (std::size_t b = 0; b < blocks; ++b) {
         const auto rp = omp_pos.uniform4_at(b);
         const auto rv = omp_vel.uniform4_at(b);
@@ -141,7 +143,7 @@ core::Result run_fastpso_cpu(const core::Objective& objective,
         const rng::PhiloxStream g_rng(params.seed ^ 0xA5A5A5A5u,
                                       3 + 2 * static_cast<std::uint64_t>(iter));
         const std::size_t blocks = (elements + 3) / 4;
-#pragma omp parallel for schedule(static) if (elements >= kOmpMinElements)
+#pragma omp parallel for schedule(static) if (fan_out)
         for (std::size_t b = 0; b < blocks; ++b) {
           const auto rl = l_rng.uniform4_at(b);
           const auto rg = g_rng.uniform4_at(b);
@@ -177,7 +179,7 @@ core::Result run_fastpso_cpu(const core::Objective& objective,
         if (use_omp) {
           // One thread evaluates begin==0, end==n: the same batch call the
           // serial path makes, so the if() clause cannot change results.
-#pragma omp parallel if (elements >= kOmpMinElements)
+#pragma omp parallel if (fan_out)
           {
             const int threads = omp_get_num_threads();
             const int tid = omp_get_thread_num();
@@ -197,8 +199,7 @@ core::Result run_fastpso_cpu(const core::Objective& objective,
         objective.batch_fn(s.p.data(), n, d, s.perror.data());
 #endif
       } else {
-#pragma omp parallel for schedule(static) \
-    if (use_omp && elements >= kOmpMinElements)
+#pragma omp parallel for schedule(static) if (use_omp && fan_out)
         for (int i = 0; i < n; ++i) {
           s.perror[i] =
               static_cast<float>(objective.fn(s.p.data() + i * d, d));
@@ -216,7 +217,7 @@ core::Result run_fastpso_cpu(const core::Objective& objective,
     {
       ScopedTimer timer(wall, "pbest");
 #pragma omp parallel for schedule(static) reduction(+ : improved) \
-    if (use_omp && elements >= kOmpMinElements)
+    if (use_omp && fan_out)
       for (int i = 0; i < n; ++i) {
         if (s.perror[i] < s.pbest_err[i]) {
           s.pbest_err[i] = s.perror[i];
@@ -260,8 +261,7 @@ core::Result run_fastpso_cpu(const core::Objective& objective,
       ScopedTimer timer(wall, "swarm");
       const core::UpdateCoefficients it_coeff =
           core::coefficients_for_iter(coeff, params, iter);
-#pragma omp parallel for schedule(static) \
-    if (use_omp && elements >= kOmpMinElements)
+#pragma omp parallel for schedule(static) if (use_omp && fan_out)
       for (std::size_t i = 0; i < elements; ++i) {
         const int col = static_cast<int>(i % d);
         float nv = it_coeff.omega * s.v[i] +

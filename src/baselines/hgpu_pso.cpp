@@ -26,6 +26,7 @@
 #include "rng/philox.h"
 #include "vgpu/buffer.h"
 #include "vgpu/graph/graph.h"
+#include "vgpu/parallel.h"
 #include "vgpu/perf_model.h"
 #include "vgpu/prof/prof.h"
 
@@ -34,10 +35,6 @@ namespace {
 
 constexpr int kBlock = 256;
 constexpr double kCpuRngFlopsPerValue = 2.0;
-/// Below this many elements the OpenMP fork/join costs more than the update
-/// loop; every element's (r1, r2) comes from the counter-based Philox at its
-/// own index, so the thread count cannot change any result.
-constexpr std::size_t kOmpMinElements = std::size_t{1} << 15;
 
 }  // namespace
 
@@ -209,7 +206,11 @@ core::Result run_hgpu_pso(const core::Objective& objective,
           params.seed + 0x2545F491u, 2 + static_cast<std::uint64_t>(iter));
       const core::UpdateCoefficients it_coeff =
           core::coefficients_for_iter(coeff, params, iter);
-#pragma omp parallel for schedule(static) if (elements >= kOmpMinElements)
+      // Below vgpu's fan-out gate the fork/join costs more than the update
+      // loop; every element's (r1, r2) comes from the counter-based Philox
+      // at its own index, so the thread count cannot change any result.
+#pragma omp parallel for schedule(static) \
+    if (static_cast<std::int64_t>(elements) >= vgpu::kParallelMinElements)
       for (std::size_t e = 0; e < elements; ++e) {
         const int j = static_cast<int>(e % d);
         const auto rr = iter_rng.uniform_pair_at(e);

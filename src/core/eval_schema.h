@@ -20,6 +20,7 @@
 #include "core/launch_policy.h"
 #include "core/objective.h"
 #include "vgpu/device.h"
+#include "vgpu/parallel.h"
 #include "vgpu/prof/prof.h"
 
 namespace fastpso::core {
@@ -41,9 +42,11 @@ void evaluation_kernel(vgpu::Device& device, const LaunchPolicy& policy,
 /// Evaluates `n` particle rows of `positions` into `out` through the
 /// evaluation-kernel schema: `out[i] = (float)fn(positions + i*d, d)`. On
 /// the fast path a batched objective runs one devirtualized inner loop
-/// (one dispatch per batch, identical accounting); otherwise — custom
-/// lambda objectives, sanitizer runs, fast path disabled — it falls back
-/// to the per-particle fn through evaluation_kernel.
+/// (one dispatch per batch, identical accounting; a built-in problem's
+/// rows split over host workers from kParallelMinElements elements);
+/// otherwise — custom lambda objectives, sanitizer runs, fast path
+/// disabled — it falls back to the per-particle fn through
+/// evaluation_kernel.
 inline void evaluate_positions(vgpu::Device& device,
                                const LaunchPolicy& policy,
                                const Objective& objective,
@@ -102,13 +105,22 @@ inline void evaluate_positions(vgpu::Device& device,
             })) {
       return;
     }
+    // The same sub-range legality lets the rows fan out over host workers
+    // (vgpu/parallel.h). Built-in problems are safe to evaluate
+    // concurrently; a batch_fn without a Problem behind it is not known to
+    // be, so it stays on the calling thread.
+    const auto run = [&](std::int64_t b, std::int64_t e) {
+      objective.batch_fn(positions + b * d, static_cast<int>(e - b), d,
+                         out + b);
+    };
+    const std::int64_t elements = objective.problem != nullptr ? n * d : 0;
     if (vgpu::prof::active()) [[unlikely]] {
       Stopwatch wall;
-      objective.batch_fn(positions, static_cast<int>(n), d, out);
+      vgpu::parallel_ranges(n, elements, run);
       device.prof_note_wall(wall.elapsed_s());
       return;
     }
-    objective.batch_fn(positions, static_cast<int>(n), d, out);
+    vgpu::parallel_ranges(n, elements, run);
     return;
   }
   evaluation_kernel(device, policy, n, cost, [&](std::int64_t i) {

@@ -34,6 +34,7 @@
 #include "vgpu/device_spec.h"
 #include "vgpu/graph/graph.h"
 #include "vgpu/pack.h"
+#include "vgpu/parallel.h"
 #include "vgpu/perf_model.h"
 #include "vgpu/prof/hooks.h"
 #include "vgpu/san/hooks.h"
@@ -422,10 +423,12 @@ class Device {
   /// Launches an element-wise kernel over `[0, n_elems)`. On the fast path
   /// (no sanitizer Session, toggle on) this runs one flat index loop —
   /// identical accounting, identical element visit-set, no ThreadCtx per
-  /// virtual thread. Otherwise it falls back to the faithful per-thread
-  /// grid-stride execution so sanitizer traces are unchanged. Bodies must
-  /// be order-independent across elements (true of every element-wise
-  /// kernel: each index owns its own outputs).
+  /// virtual thread — split over host workers from kParallelMinElements
+  /// elements (vgpu/parallel.h). Otherwise it falls back to the faithful
+  /// per-thread grid-stride execution so sanitizer traces are unchanged.
+  /// Bodies must be order-independent across elements and safe to call
+  /// concurrently for distinct indices (true of every element-wise kernel:
+  /// each index owns its own outputs).
   template <typename Body>
   void launch_elements(const LaunchConfig& cfg, const KernelCostSpec& cost,
                        std::int64_t n_elems, Body&& body) {
@@ -474,17 +477,20 @@ class Device {
       }
       pack_sink_->flush_lane();
     }
-    if (prof::active()) [[unlikely]] {
-      Stopwatch wall;
-      for (std::int64_t i = 0; i < n_elems; ++i) {
+    // Only the bodies fan out (vgpu/parallel.h); everything above ran on
+    // the calling thread.
+    const auto run = [&body](std::int64_t begin, std::int64_t end) {
+      for (std::int64_t i = begin; i < end; ++i) {
         body(i);
       }
+    };
+    if (prof::active()) [[unlikely]] {
+      Stopwatch wall;
+      parallel_ranges(n_elems, n_elems, run);
       prof_note_wall(wall.elapsed_s());
       return;
     }
-    for (std::int64_t i = 0; i < n_elems; ++i) {
-      body(i);
-    }
+    parallel_ranges(n_elems, n_elems, run);
   }
 
   /// Launches a cooperative block kernel: `body` is called once per block

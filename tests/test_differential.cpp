@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,12 @@ struct DiffCase {
   /// Additive floor so the ratio is meaningful near the optimum.
   double eps;
 };
+
+// Printed into the registered test name; the raw bytes gtest would print
+// otherwise include the address of `problem`, which differs on every run.
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  *os << c.problem << " d=" << c.dim;
+}
 
 std::string case_name(const ::testing::TestParamInfo<DiffCase>& info) {
   return info.param.problem;

@@ -13,9 +13,15 @@
 //     modeled seconds;
 //   * sanitizer level — a recording Session forces the faithful path, so
 //     the launch trace is byte-identical regardless of the toggle, and
-//     still matches the checked-in golden JSON.
+//     still matches the checked-in golden JSON;
+//   * host worker level — at shapes above vgpu::kParallelMinElements the
+//     fast path fans element kernels and batched eval out over host
+//     workers (vgpu/parallel.h); results, counters, modeled seconds and
+//     prof event streams are byte-identical at 1, 3 (uneven chunks) and 4
+//     workers.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cstring>
 #include <fstream>
@@ -26,11 +32,14 @@
 #include "benchkit/runner.h"
 #include "core/best_update.h"
 #include "core/init.h"
+#include "core/multi_device.h"
 #include "core/objective.h"
 #include "core/optimizer.h"
 #include "core/swarm_update.h"
 #include "problems/problem.h"
 #include "vgpu/device.h"
+#include "vgpu/parallel.h"
+#include "vgpu/prof/prof.h"
 #include "vgpu/san/sanitizer.h"
 
 namespace fastpso {
@@ -241,6 +250,128 @@ TEST(EngineEquiv, SanitizerTraceMatchesGoldenWithFastPathOn) {
   EXPECT_EQ(json, golden.str());
 }
 #endif
+
+// ---- host worker level ---------------------------------------------------
+
+/// RAII worker count for the OpenMP runtime that backs vgpu::parallel_chunks.
+class WorkerGuard {
+ public:
+  explicit WorkerGuard(int workers) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(workers);
+  }
+  ~WorkerGuard() { omp_set_num_threads(saved_); }
+
+  WorkerGuard(const WorkerGuard&) = delete;
+  WorkerGuard& operator=(const WorkerGuard&) = delete;
+
+ private:
+  int saved_;
+};
+
+/// Above the gate for every launch that fans out: Philox fills run one
+/// element per 4 floats, so n*d/4 must reach it — on each of two shards for
+/// the multi-device runs.
+constexpr int kWideN = 2048;
+constexpr int kWideD = 128;
+static_assert(std::int64_t{kWideN} / 2 * kWideD / 4 >=
+              vgpu::kParallelMinElements);
+
+const std::vector<int>& worker_counts() {
+  static const std::vector<int> counts = {1, 3, 4};
+  return counts;
+}
+
+core::PsoParams wide_params() {
+  core::PsoParams params;
+  params.particles = kWideN;
+  params.dim = kWideD;
+  params.max_iter = 3;
+  params.seed = 42;
+  return params;
+}
+
+core::Result wide_run(const std::string& problem, int workers) {
+  const WorkerGuard guard(workers);
+  vgpu::Device device;
+  core::Optimizer optimizer(device, wide_params());
+  const auto prob = benchkit::make_any_problem(problem);
+  return optimizer.optimize(core::objective_from_problem(*prob, kWideD));
+}
+
+void expect_results_identical(const core::Result& a, const core::Result& b) {
+  EXPECT_EQ(a.gbest_value, b.gbest_value);
+  EXPECT_TRUE(bits_equal(a.gbest_position, b.gbest_position));
+  EXPECT_TRUE(bits_equal(a.gbest_history, b.gbest_history));
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.modeled_seconds, b.modeled_seconds);
+  EXPECT_EQ(a.modeled_breakdown.buckets(), b.modeled_breakdown.buckets());
+  expect_counters_equal(a.counters, b.counters);
+}
+
+TEST(EngineEquiv, WorkerCountBitwiseIdenticalOnTable1Problems) {
+  for (const std::string problem :
+       {"sphere", "griewank", "easom", "threadconf"}) {
+    const core::Result serial = wide_run(problem, 1);
+    for (const int workers : worker_counts()) {
+      SCOPED_TRACE(problem + " / workers=" + std::to_string(workers));
+      expect_results_identical(serial, wide_run(problem, workers));
+    }
+  }
+}
+
+TEST(EngineEquiv, WorkerCountBitwiseIdenticalOnMultiDevice) {
+  for (const auto strategy : {core::MultiGpuStrategy::kTileMatrix,
+                              core::MultiGpuStrategy::kParticleSplit}) {
+    const auto run = [&](int workers) {
+      const WorkerGuard guard(workers);
+      core::MultiDeviceParams params;
+      params.pso = wide_params();
+      params.devices = 2;
+      params.strategy = strategy;
+      params.sync_interval = 2;
+      core::MultiDeviceOptimizer optimizer(params);
+      const auto prob = benchkit::make_any_problem("griewank");
+      core::Result result =
+          optimizer.optimize(core::objective_from_problem(*prob, kWideD));
+      return std::pair(std::move(result), optimizer.device_seconds());
+    };
+    const auto serial = run(1);
+    for (const int workers : worker_counts()) {
+      SCOPED_TRACE(std::string(core::to_string(strategy)) +
+                   " / workers=" + std::to_string(workers));
+      const auto parallel = run(workers);
+      expect_results_identical(serial.first, parallel.first);
+      EXPECT_EQ(serial.second, parallel.second);
+    }
+  }
+}
+
+// The profiled branches fan out too, so a traced run describes the program
+// that runs untraced: same events, labels and modeled fields at any worker
+// count (only the measured wall differs).
+TEST(EngineEquiv, WorkerCountKeepsProfileEventStream) {
+  const bool saved = vgpu::prof::active();
+  vgpu::prof::set_enabled(true);
+  const core::Result serial = wide_run("griewank", 1);
+  const core::Result parallel = wide_run("griewank", 4);
+  vgpu::prof::set_enabled(saved);
+
+  const auto& a = serial.profile.events;
+  const auto& b = parallel.profile.events;
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i) + " " + a[i].label);
+    EXPECT_EQ(a[i].kind, b[i].kind);
+    EXPECT_EQ(a[i].label, b[i].label);
+    EXPECT_EQ(a[i].phase, b[i].phase);
+    EXPECT_EQ(a[i].t_begin, b[i].t_begin);
+    EXPECT_EQ(a[i].modeled_seconds, b[i].modeled_seconds);
+  }
+  EXPECT_EQ(serial.profile.chrome_trace_json(),
+            parallel.profile.chrome_trace_json());
+  expect_results_identical(serial, parallel);
+}
 
 }  // namespace
 }  // namespace fastpso

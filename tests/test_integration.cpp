@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "benchkit/runner.h"
 #include "core/multi_gpu.h"
@@ -81,6 +82,15 @@ struct ModeCase {
   core::Synchronization synchronization;
   bool mixed_precision;
 };
+
+// Without a printer gtest names each case by the struct's raw bytes, and
+// the padding after `mixed_precision` holds whatever the stack held: the
+// registered test names would change from one build to the next.
+void PrintTo(const ModeCase& mode, std::ostream* os) {
+  *os << core::to_string(mode.technique) << ' '
+      << core::to_string(mode.synchronization) << ' '
+      << (mode.mixed_precision ? "fp16" : "fp32");
+}
 
 class EveryMode : public ::testing::TestWithParam<ModeCase> {};
 

@@ -2,15 +2,18 @@
 // launch semantics, counters and phase accounting.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "common/check.h"
 #include "vgpu/buffer.h"
 #include "vgpu/device.h"
 #include "vgpu/memory_pool.h"
+#include "vgpu/parallel.h"
 
 namespace fastpso::vgpu {
 namespace {
@@ -259,6 +262,68 @@ TEST(DeviceArray, ResetReleasesToPool) {
   a.reset();
   EXPECT_TRUE(a.empty());
   EXPECT_EQ(device.pool().outstanding(), 0u);
+}
+
+// ---- host fan-out (vgpu/parallel.h) -------------------------------------
+
+/// RAII worker count for the OpenMP runtime behind parallel_chunks.
+class WorkerGuard {
+ public:
+  explicit WorkerGuard(int workers) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(workers);
+  }
+  ~WorkerGuard() { omp_set_num_threads(saved_); }
+
+ private:
+  int saved_;
+};
+
+TEST(Parallel, ChunksCoverRangeOnceInContiguousPieces) {
+  const WorkerGuard guard(3);
+  constexpr std::int64_t kN = 100;  // 3 workers: uneven chunks
+  std::vector<int> visits(kN, 0);
+  std::vector<std::int64_t> begins(kN, -1);
+  parallel_ranges(kN, kParallelMinElements,
+                  [&](std::int64_t begin, std::int64_t end) {
+                    for (std::int64_t i = begin; i < end; ++i) {
+                      ++visits[static_cast<std::size_t>(i)];
+                      begins[static_cast<std::size_t>(i)] = begin;
+                    }
+                  });
+  EXPECT_EQ(visits, std::vector<int>(kN, 1));
+  EXPECT_EQ(std::set<std::int64_t>(begins.begin(), begins.end()),
+            (std::set<std::int64_t>{0, 33, 66}));
+}
+
+TEST(Parallel, RethrowsLowestChunkException) {
+  const WorkerGuard guard(4);
+  try {
+    parallel_ranges(400, kParallelMinElements,
+                    [](std::int64_t begin, std::int64_t) {
+                      throw std::runtime_error(std::to_string(begin));
+                    });
+    FAIL() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "0");
+  }
+}
+
+// launch_elements fans out from kParallelMinElements elements and stays on
+// the calling thread below it.
+TEST(Parallel, LaunchElementsFansOutOnlyFromGate) {
+  const WorkerGuard guard(4);
+  Device device;
+  const auto workers_used = [&](std::int64_t n) {
+    std::vector<int> owner(static_cast<std::size_t>(n), -1);
+    device.launch_elements(LaunchConfig{}, KernelCostSpec{}, n,
+                           [&](std::int64_t i) {
+                             owner[static_cast<std::size_t>(i)] =
+                                 omp_get_thread_num();
+                           });
+    return std::set<int>(owner.begin(), owner.end()).size();
+  };
+  EXPECT_EQ(workers_used(kParallelMinElements - 1), 1u);
+  EXPECT_EQ(workers_used(kParallelMinElements), 4u);
 }
 
 }  // namespace
