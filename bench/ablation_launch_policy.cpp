@@ -14,7 +14,7 @@
 //
 // --tuned appends a "tuned (autotuner)" row: the resource-aware policy
 // re-measured with the offline autotuner's table installed (tune::Tuner
-// over the engine families at this exact shape, DESIGN.md §13), so the
+// over the engine families at this exact shape, DESIGN.md §12), so the
 // ablation shows what the generalized search adds on top of Eq. 3. The
 // default rows and CSV schema are unchanged; with --graph/--fuse the extra
 // row reports "-" in the graph/fused columns (it measures the eager path).

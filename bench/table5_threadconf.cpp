@@ -24,7 +24,7 @@
 //
 // --tuned adds one "<dataset>+tuner" row per dataset: the configuration
 // found by the generalized offline autotuner (tune::Tuner over the per-site
-// kernel families, DESIGN.md §13) instead of the paper's direct 50-dim
+// kernel families, DESIGN.md §12) instead of the paper's direct 50-dim
 // ThreadConf search — per-site subspace search with validity predicates
 // and executed-replay validation, the same machinery that tunes the engine
 // kernels. Default rows are byte-identical with or without the flag.

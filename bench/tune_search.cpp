@@ -1,4 +1,4 @@
-// tune_search: the offline autotuner driver (DESIGN.md §13).
+// tune_search: the offline autotuner driver (DESIGN.md §12).
 //
 // Runs the tune::Tuner over the engine's launch-geometry families
 // ("launch_policy", "reduce", "swarm_tile") on the standard smoke shapes —

@@ -1,6 +1,6 @@
 #include "core/best_update.h"
 
-#include "core/kernels_registry.h"
+#include "core/element_kernels.h"
 #include "vgpu/prof/prof.h"
 #include "vgpu/reduce.h"
 #include "vgpu/san/tracked.h"
@@ -42,9 +42,6 @@ void update_pbest_compare(vgpu::Device& device, const LaunchPolicy& policy,
               sizeof(float), /*write=*/true, "pbest_err"},
              {state.improved.data(), static_cast<double>(n), 1,
               /*write=*/true, "improved"}});
-        device.graph_note_static(
-            vgpu::graph::codegen::make_static<kernels::PbestCompareKernel>(
-                cmp_args));
       }
     };
     if (vgpu::use_fast_path()) {
@@ -128,9 +125,6 @@ PbestStats update_pbest_finish(vgpu::Device& device,
               "positions"},
              {state.pbest_pos.data(), row_bytes, row_elem, /*write=*/true,
               "pbest_pos"}});
-        device.graph_note_static(
-            vgpu::graph::codegen::make_static<kernels::PbestGatherKernel>(
-                gather_args));
       }
     };
     if (vgpu::use_fast_path()) {
@@ -192,9 +186,6 @@ float update_gbest(vgpu::Device& device, SwarmState& state) {
               sizeof(float), /*write=*/false, "gbest_src_row"},
              {state.gbest_pos.data(), row_bytes, sizeof(float),
               /*write=*/true, "gbest_pos"}});
-        device.graph_note_static(
-            vgpu::graph::codegen::make_static<kernels::GbestCopyKernel>(
-                copy_args));
       }
     };
     if (vgpu::use_fast_path()) {

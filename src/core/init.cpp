@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "common/check.h"
-#include "core/kernels_registry.h"
+#include "core/element_kernels.h"
 #include "rng/philox.h"
 #include "vgpu/prof/prof.h"
 #include "vgpu/san/tracked.h"
@@ -34,9 +34,7 @@ void fill_uniform(vgpu::Device& device, const LaunchPolicy& policy,
   const LaunchDecision decision = policy.for_elements(blocks);
   const float span = hi - lo;
   // Fusion footprint (vgpu/graph/fusion.h): one element = one Philox block
-  // of four floats, so element b owns out[4b, 4b+4). The static kernel is
-  // the body the fast path runs (kernels_registry.h) — compiled replay and
-  // eager execution share one element function.
+  // of four floats, so element b owns out[4b, 4b+4).
   const kernels::FillUniformKernel::Args fill_args{rng, out, elements, lo,
                                                    span};
   const auto note_footprint = [&] {
@@ -45,17 +43,12 @@ void fill_uniform(vgpu::Device& device, const LaunchPolicy& policy,
       device.graph_note_uses(
           {{out, static_cast<double>(elements) * sizeof(float),
             4 * sizeof(float), /*write=*/true, "fill_out"}});
-      device.graph_note_static(
-          vgpu::graph::codegen::make_static<kernels::FillUniformKernel>(
-              fill_args));
     }
   };
   if (vgpu::use_fast_path()) {
     // Flat loop over Philox blocks; element i gets uniform_at(i) exactly as
     // on the tracked path, so the produced bits are identical. Same profile
-    // label as the tracked path's KernelScope. The body captures its
-    // arguments by value, so a graph captured with set_capture_bodies(true)
-    // stays executable for as long as the output buffer lives.
+    // label as the tracked path's KernelScope.
     vgpu::prof::KernelLabel klabel("init/fill_uniform");
     device.launch_elements(decision.config, fill_cost(elements), blocks,
                            [fill_args](std::int64_t b) {
@@ -116,9 +109,6 @@ void fill_uniform_slice_impl(vgpu::Device& device, const LaunchPolicy& policy,
       device.graph_note_uses(
           {{out, static_cast<double>(count) * sizeof(float),
             /*elem_bytes=*/0, /*write=*/true, "fill_out"}});
-      device.graph_note_static(
-          vgpu::graph::codegen::make_static<kernels::FillUniformSliceKernel>(
-              fill_args));
     }
   };
   if (vgpu::use_fast_path()) {
@@ -176,14 +166,6 @@ void reset_pbest(vgpu::Device& device, const LaunchPolicy& policy,
                            [reset_args](std::int64_t i) {
                              kernels::PbestResetKernel::element(reset_args, i);
                            });
-    if (device.capturing()) {
-      // No declared footprint (this launch never fuses — it runs once,
-      // outside the iteration loop), but the registered span still
-      // accelerates node-level standalone replay.
-      device.graph_note_static(
-          vgpu::graph::codegen::make_static<kernels::PbestResetKernel>(
-              reset_args));
-    }
     state.gbest_err = std::numeric_limits<float>::infinity();
     return;
   }

@@ -48,7 +48,7 @@ class LaunchPolicy {
 
  private:
   /// Tuned-geometry variant of for_elements: per-shape block size and
-  /// items-per-thread floor from the vgpu::tuned store (DESIGN.md §13).
+  /// items-per-thread floor from the vgpu::tuned store (DESIGN.md §12).
   /// Falls back to the default derivation axis by axis when a key is
   /// absent, so an empty table reproduces for_elements exactly.
   [[nodiscard]] LaunchDecision for_elements_tuned(std::int64_t elements) const;

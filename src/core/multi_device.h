@@ -1,5 +1,5 @@
 // Multi-device FastPSO on the modern stack (paper Section 3.5 rebuilt over
-// vgpu/comm, DESIGN.md §12).
+// vgpu/comm, DESIGN.md §11).
 //
 // The legacy MultiGpuOptimizer (core/multi_gpu.h) exchanges the global best
 // through modeled host transfers and runs every shard serially on a single
@@ -15,8 +15,7 @@
 //     overlaps the exchange on stream 0 — visible as parallel lanes in the
 //     per-device Chrome traces;
 //   - each shard's iteration is a captured graph under FASTPSO_GRAPH
-//     (replayed with fusion / codegen exactly like the single-device
-//     pipeline); collectives are never captured and re-account eagerly.
+//     (replayed with fusion exactly like the single-device pipeline); collectives are never captured and re-account eagerly.
 //
 // Semantics are pinned by tests/test_multi_gpu.cpp:
 //   kTileMatrix    bitwise-identical to the legacy optimizer AND to

@@ -40,9 +40,9 @@ struct Objective {
   double optimum = 0.0;
   bool has_optimum = false;
 
-  /// Set by objective_from_problem so graph capture can register a static
-  /// eval kernel for the compiled fused-loop path (core/kernels_registry.h).
-  /// Null for custom lambda objectives — their launches stay interpreted.
+  /// Set by objective_from_problem; a non-null problem marks batch_fn safe
+  /// to fan out over host workers (core/eval_schema.h). Null for custom
+  /// lambda objectives.
   const problems::Problem* problem = nullptr;
 };
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/kernels_registry.h"
+#include "core/element_kernels.h"
 #include "vgpu/block.h"
 #include "vgpu/tuned.h"
 #include "vgpu/prof/prof.h"
@@ -15,8 +15,8 @@ namespace {
 
 namespace san = vgpu::san;
 
-// The canonical per-element update lives in core/kernels_registry.h so the
-// compiled fused-loop path composes the exact code every variant here runs.
+// The canonical per-element update lives in core/element_kernels.h, shared
+// by every variant here.
 using kernels::update_element;
 
 /// DRAM traffic + flops of one full swarm update over `elements` items.
@@ -65,9 +65,6 @@ void update_global(vgpu::Device& device, const LaunchPolicy& policy,
             /*write=*/false, "pbest_pos"},
            {state.gbest_pos.data(), static_cast<double>(d) * sizeof(float),
             0, /*write=*/false, "gbest_pos"}});
-      device.graph_note_static(
-          vgpu::graph::codegen::make_static<kernels::SwarmUpdateGlobalKernel>(
-              update_args));
     }
   };
   if (vgpu::use_fast_path()) {
@@ -112,7 +109,7 @@ void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
   const int n = state.n;
   const int d = state.d;
   const std::int64_t elements = state.elements();
-  // Tile edge is tunable geometry (DESIGN.md §13): the tile only
+  // Tile edge is tunable geometry (DESIGN.md §12): the tile only
   // partitions the matrix — each element's arithmetic is identical at any
   // edge, so retuning it never changes results. tile^2 threads per block
   // must stay within the device limit.
@@ -385,9 +382,6 @@ void swarm_update_ring(vgpu::Device& device, const LaunchPolicy& policy,
             "pbest_pos_gather"},
            {nbest_idx, static_cast<double>(n) * sizeof(std::int32_t), 0,
             /*write=*/false, "nbest_idx"}});
-      device.graph_note_static(
-          vgpu::graph::codegen::make_static<kernels::SwarmUpdateRingKernel>(
-              ring_args));
     }
   };
   if (vgpu::use_fast_path()) {

@@ -1,4 +1,4 @@
-// PSO-as-a-service across a device group (DESIGN.md §12).
+// PSO-as-a-service across a device group (DESIGN.md §11).
 //
 // GroupScheduler fronts one serve::Scheduler per device of a
 // comm::DeviceGroup and places each submitted job on the device where it

@@ -1,4 +1,4 @@
-// The tunable kernel families of the engine (DESIGN.md §13).
+// The tunable kernel families of the engine (DESIGN.md §12).
 //
 // A KernelFamily bundles everything the tuner needs to search one kernel's
 // configuration space for one workload shape:

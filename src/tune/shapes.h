@@ -1,4 +1,4 @@
-// Workload shapes and shape grouping (DESIGN.md §13).
+// Workload shapes and shape grouping (DESIGN.md §12).
 //
 // A WorkloadShape is one concrete launch the engine performs: a kernel
 // family label plus the problem geometry (swarm size n, problem dim d, and

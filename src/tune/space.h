@@ -1,4 +1,4 @@
-// Joined configuration subspaces with validity predicates (DESIGN.md §13).
+// Joined configuration subspaces with validity predicates (DESIGN.md §12).
 //
 // A kernel family's tunables — block size, items per thread, reduce tree
 // width, tile edge, partial-grid cap — are each a small discrete Axis. A

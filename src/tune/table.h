@@ -1,5 +1,5 @@
 // Tuned-config tables: the deterministic artifact the tuner emits and the
-// runtime loads (DESIGN.md §13).
+// runtime loads (DESIGN.md §12).
 //
 // A TunedTable carries two things:
 //   * the flat key -> int store the runtime consumes (vgpu::tuned keys:

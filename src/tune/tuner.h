@@ -1,5 +1,5 @@
 // The offline autotuner: searches each shape group's JoinedSpace with
-// FastPSO itself (DESIGN.md §13).
+// FastPSO itself (DESIGN.md §12).
 //
 // Per group the tuner (a) runs a small PSO over [0,1]^axes whose objective
 // decodes positions into configuration points and scores valid ones with

@@ -1,5 +1,5 @@
 // vgpu::comm — an NCCL-style modeled collective layer over a group of
-// virtual devices (DESIGN.md §12).
+// virtual devices (DESIGN.md §11).
 //
 // The paper's Section 3.5 exchanges the global best through the host; real
 // multi-GPU stacks move it device-to-device over the interconnect with

@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -278,10 +277,6 @@ class Device {
   // setup); unmatched launches fall through to eager accounting.
   void begin_capture(graph::Graph& g);
   void end_capture();
-  /// Also captures kernel bodies on the launch_elements fast path so the
-  /// graph supports standalone replay_graph(). The caller guarantees that
-  /// everything those bodies reference outlives the graph.
-  void set_capture_bodies(bool capture) { capture_bodies_ = capture; }
   void begin_replay(graph::GraphExec& exec);
   /// Session-carrying variant: replay state (cursor, stream retarget,
   /// breakdown-slot cache) lives on the caller's session, so several
@@ -298,20 +293,6 @@ class Device {
   void detach_replay();
   void attach_replay(graph::GraphExec& exec,
                      graph::GraphExec::ReplaySession& session);
-  /// Standalone replay: re-executes the whole node list in order —
-  /// pre-resolved accounting per node, captured bodies/memcpys re-run.
-  /// Only meaningful for graphs captured with set_capture_bodies(true) (or
-  /// pure accounting graphs); requires no capture/replay to be open.
-  void replay_graph(graph::GraphExec& exec);
-  /// Fused standalone replay: like replay_graph, but each fused group
-  /// (GraphExec::apply_fusion) is dispatched ONCE — one accounted launch of
-  /// the merged cost spec, one prof event carrying the member labels, and
-  /// the member element bodies run back-to-back per element. Numerics are
-  /// bitwise-identical to replay_graph; launch counters and modeled time
-  /// genuinely drop (the applied form of the fusion saving — never used on
-  /// the eager/golden paths). Falls back to replay_graph for execs without
-  /// a fusion plan.
-  void replay_fused(graph::GraphExec& exec);
 
   /// True while a graph capture is open — call sites use this to gate the
   /// construction of fusion footprints (graph_note_uses) to capture time.
@@ -325,22 +306,6 @@ class Device {
   /// Attaches the declared buffer footprint of the node just captured
   /// (no-op unless capturing) — see graph::BufferUse.
   void graph_note_uses(std::vector<graph::BufferUse> uses);
-  /// Attaches the registered static kernel of the node just captured
-  /// (no-op unless capturing) — see vgpu/graph/codegen.h. Always safe to
-  /// call: registration only enables compiled standalone replay when the
-  /// node also captured its body.
-  void graph_note_static(graph::codegen::StaticKernel kernel);
-  /// True while a capture with body recording is open. Dispatchers that
-  /// pair account_launch with their own execution (core::evaluate_positions)
-  /// use this to decide whether to build standalone-replay bodies.
-  [[nodiscard]] bool capturing_bodies() const {
-    return capture_bodies_ && graph_mode_ == GraphMode::kCapturing;
-  }
-  /// Attaches standalone-replay bodies to the node just captured (no-op
-  /// unless capturing) — the external-dispatcher counterpart of what
-  /// launch_elements does automatically under set_capture_bodies(true).
-  void graph_attach_bodies(std::function<void()> body,
-                           std::function<void(std::int64_t)> elem_body);
 
   // --- cross-job batch packing (vgpu/pack.h, src/serve/packed.h) ----------
   /// Attaches/clears the deferred-execution sink. While attached and a
@@ -447,17 +412,6 @@ class Device {
     account_launch(cfg, cost);
     if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
       graph_note_elements(n_elems);
-      if (capture_bodies_) {
-        // Copies of the body for standalone replay; lifetime of everything
-        // they reference is the caller's promise (set_capture_bodies).
-        graph_capture_body([n_elems, body]() mutable {
-          for (std::int64_t i = 0; i < n_elems; ++i) {
-            body(i);
-          }
-        });
-        graph_capture_elem_body(
-            [body](std::int64_t i) mutable { body(i); });
-      }
     }
     if (pack_sink_ != nullptr) [[unlikely]] {
       // A replay-matched launch was fully accounted above; hand its body to
@@ -598,7 +552,6 @@ class Device {
   /// for it.
   enum class GraphMode : std::uint8_t { kOff, kCapturing, kReplaying };
   GraphMode graph_mode_ = GraphMode::kOff;
-  bool capture_bodies_ = false;
   graph::Graph* capture_graph_ = nullptr;
   graph::GraphExec* replay_exec_ = nullptr;
   /// Session the open replay accounts through (the exec's own session for
@@ -625,13 +578,6 @@ class Device {
   /// Capture/replay half of account_launch (device.cpp). Returns true when
   /// a replay match consumed the launch (fast-path accounting done).
   bool graph_account(const LaunchConfig& cfg, const KernelCostSpec& cost);
-  /// Attaches a standalone-replay body to the node just captured.
-  void graph_capture_body(std::function<void()> body);
-  /// Attaches a per-element body to the node just captured (replay_fused).
-  void graph_capture_elem_body(std::function<void(std::int64_t)> body);
-  /// Executes and accounts one standalone-replay node (replay_graph, and
-  /// the unfused steps of replay_fused).
-  void replay_node(const graph::GraphExec::ExecNode& en);
 
   /// `device_wide` costs (allocs, transfers, host work) synchronize and
   /// advance every stream; kernel costs advance only the current stream.
@@ -643,11 +589,9 @@ class Device {
   void prof_record_kernel(const LaunchConfig& cfg, const KernelCostSpec& cost,
                           double seconds);
   /// Replay-path variant: occupancies and roofline terms come pre-resolved
-  /// from the graph node instead of a kernel_detail call. Label/phase follow
-  /// `label`/`phase` (node values for standalone replay, live values for
-  /// paired replay — identical to eager either way).
-  void prof_record_kernel_replay(std::int64_t grid, int block, int stream,
-                                 const std::string& phase, const char* label,
+  /// from the matched graph node instead of a kernel_detail call; label,
+  /// phase and stream are the live ones, so the event equals eager mode's.
+  void prof_record_kernel_replay(const LaunchConfig& cfg,
                                  const KernelCostSpec& cost, double seconds,
                                  double compute_occupancy,
                                  double memory_occupancy, bool memory_bound);

@@ -28,7 +28,7 @@ struct GpuSpec {
   double pcie_bw_gbps = 12.0;      ///< effective H2D/D2H bandwidth (GB/s)
   double tensor_tflops = 112.0;    ///< FP16 tensor-core peak (TFLOP/s)
 
-  // --- inter-device link (vgpu/comm, DESIGN.md §12) ---
+  // --- inter-device link (vgpu/comm, DESIGN.md §11) ---
   /// Effective per-direction device-to-device link bandwidth (GB/s). The
   /// paper machine carries exchanges over PCIe; an NVLink-generation part
   /// would raise this. Consumed by the modeled collectives' bandwidth term.

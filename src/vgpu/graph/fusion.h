@@ -17,8 +17,8 @@
 // never crossed. Within a run, a candidate joins the open group only if it
 // has no data hazard against ANY current member: two accesses of the same
 // storage, at least one a write, that are not element-aligned
-// (BufferUse::aligned_with). Aligned same-element accesses are safe — the
-// fused node executes the member kernels back-to-back *per element*, so
+// (BufferUse::aligned_with). Aligned same-element accesses are safe — a
+// fused kernel runs the member kernels back-to-back *per element*, so
 // element i's consumer reads element i's just-produced value exactly as in
 // eager order; numerics are bitwise-identical by construction. Footprints
 // are declared at the call sites (per-element attribution cannot be
@@ -30,9 +30,9 @@
 // (the consumer's read always; the producer's write only when no node
 // outside the group anywhere in the looped graph reads that storage) and
 // only one launch overhead charged — so PerfModel prices the fusion the
-// way a real GPU would. Under paired replay the fused pricing is
-// *reported* (FusionStats.modeled_seconds_saved, on top of the graph
-// credit); Device::replay_fused actually dispatches the fused schedule.
+// way a real GPU would. The fused pricing is *reported*
+// (FusionStats.modeled_seconds_saved, on top of the graph credit) under
+// paired replay; execution stays eager, member by member.
 //
 // Default off; enable with FASTPSO_FUSE=1 or graph::set_fusion_enabled.
 #pragma once

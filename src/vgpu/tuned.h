@@ -1,6 +1,6 @@
 // Runtime tuned-configuration store (consumer half of the autotuner).
 //
-// The offline tuner (src/tune/, DESIGN.md §13) searches kernel
+// The offline tuner (src/tune/, DESIGN.md §12) searches kernel
 // configuration spaces and emits a tuned-config table. This header is the
 // *runtime* side: a process-wide key -> integer store that the launch-shape
 // decision points consult — core::LaunchPolicy (element block size,

@@ -1,4 +1,4 @@
-// Tests for the modeled collective layer (src/vgpu/comm/, DESIGN.md §12).
+// Tests for the modeled collective layer (src/vgpu/comm/, DESIGN.md §11).
 //
 // The comm contract under test: the data plane is a canonical rank-order
 // reduction — bitwise-reproducible, independent of timing — while the time

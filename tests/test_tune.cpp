@@ -1,4 +1,4 @@
-// Tests for the offline autotuner (src/tune, DESIGN.md §13): validity
+// Tests for the offline autotuner (src/tune, DESIGN.md §12): validity
 // predicates, shape grouping, table round-trips, and the bitwise-safety
 // contract of tuned launch geometry under FASTPSO_TUNED.
 
